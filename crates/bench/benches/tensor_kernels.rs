@@ -64,6 +64,27 @@ fn bench_decode_gemv(c: &mut Bench) {
     c.bench_function("matmul_transb_decode_1x128x4096", |b| {
         b.iter(|| ops::matmul_transb(std::hint::black_box(&x), std::hint::black_box(&w)))
     });
+
+    // The same GEMV on one thread and on two, from the DistilGPT2 head
+    // ([1,64]·[665,64]ᵀ, 42.6k multiply-adds) up to 1x128x4096 (524k).
+    // Where the 2-thread row stops losing to the 1-thread row is the
+    // pool-launch crossover `par::MIN_MACS_PER_TASK` encodes; below it
+    // both rows run inline.
+    let mut group = c.benchmark_group("decode_gemv_threads");
+    let shapes = [(64usize, 665usize), (128, 665), (64, 2048), (128, 2048), (128, 3072), (128, 4096)];
+    for &(k, n) in &shapes {
+        let x = init::randn(&mut rng, &[1, k], 1.0);
+        let w = init::randn(&mut rng, &[n, k], 0.02);
+        group.throughput(Throughput::Elements((k * n) as u64));
+        for threads in [1usize, 2] {
+            group.bench_function(BenchmarkId::new(format!("1x{k}x{n}"), threads), |bch| {
+                par::set_num_threads(threads);
+                bch.iter(|| ops::matmul_transb(std::hint::black_box(&x), std::hint::black_box(&w)));
+                par::set_num_threads(0);
+            });
+        }
+    }
+    group.finish();
 }
 
 fn bench_pool_launch(c: &mut Bench) {

@@ -13,7 +13,11 @@
 //! 4. the parallel paged-attention sweep holds the determinism contract
 //!    in the attention-bound regime: a long-context batch of 8 produces
 //!    byte-identical streams at 1 and 2 worker threads, both matching
-//!    the serial row-at-a-time reference loop.
+//!    the serial row-at-a-time reference loop; and
+//! 5. a batch-1 DistilGPT2 decode (prefill and sampling steps) launches
+//!    the tensor pool zero times at 2 threads: every GEMV in it is below
+//!    the work-based launch crossover (`par::MIN_MACS_PER_TASK`), so a
+//!    column-count launch threshold cannot creep back unnoticed.
 //!
 //! Also useful standalone:
 //!
@@ -241,6 +245,32 @@ fn main() {
     eprintln!(
         "[batched_smoke] long-context batch-8 streams identical across serial/sweep x threads 1,2 \
          (attend_ns total {attend_total})"
+    );
+
+    // 5. The batch-1 decode step stays off the pool: at the served
+    //    DistilGPT2 geometry (V = 665, the BPE vocabulary of the
+    //    reproduction corpus) the LM head is 42.6k multiply-adds, far
+    //    below one pool task's worth. Two threads make the check bite on
+    //    any host.
+    const SERVED_VOCAB: usize = 665;
+    let served = Gpt2Lm::new(Gpt2Config::distil(SERVED_VOCAB));
+    let served_bm = served.batch_model().expect("distil tier is batch-ready");
+    let served_prompt: Vec<u32> = (0..PROMPT as u32)
+        .map(|t| (5 + 7 * t) % SERVED_VOCAB as u32)
+        .collect();
+    par::set_num_threads(2);
+    let launches_before = obs::static_counter!("tensor_pool_launches_total").get();
+    let solo_served = decode_together(served_bm, 0, &[req(&served_prompt, 0)]).remove(0);
+    let launches = obs::static_counter!("tensor_pool_launches_total").get() - launches_before;
+    par::set_num_threads(0);
+    assert_eq!(solo_served.len(), TOKENS);
+    assert_eq!(
+        launches, 0,
+        "a batch-1 DistilGPT2 decode launched the tensor pool {launches} times"
+    );
+    eprintln!(
+        "[batched_smoke] batch-1 DistilGPT2 decode ({PROMPT} prompt + {TOKENS} tokens): \
+         0 pool launches"
     );
 
     println!("batched_smoke: all checks passed");

@@ -67,17 +67,21 @@ pub trait BatchStepModel {
     fn batch_ready(&self) -> bool;
 
     /// One decode step: feed `tokens[i]` at `seqs[i]`'s next position and
-    /// return each sequence's next-token logits as `[B]` tensors of
-    /// `[V]`. Implementations must write K/V through the prepared slots
-    /// and must **not** commit — the caller commits after consuming the
-    /// logits.
+    /// return next-token logits for the rows that sample this step, as
+    /// one `[R, V]` tensor whose row `r` belongs to `seqs[sample_rows[r]]`
+    /// (`sample_rows` is ascending, `R = sample_rows.len()`). Rows still
+    /// prefilling get no logits, so an all-prefill step (`R = 0`) skips
+    /// the final LN and LM head entirely. Implementations must write K/V
+    /// for every row through the prepared slots and must **not** commit
+    /// — the caller commits after consuming the logits.
     fn batch_step(
         &self,
         tokens: &[u32],
+        sample_rows: &[usize],
         pool: &mut BlockPool,
         seqs: &mut [&mut SeqKv],
         scratch: &mut BatchScratch,
-    ) -> Vec<Tensor>;
+    ) -> Tensor;
 }
 
 /// Engine sizing.
@@ -199,6 +203,8 @@ pub struct BatchGenerator {
     /// This step's per-lane input tokens, reused across steps so the
     /// steady-state decode loop allocates nothing per token.
     feed: Vec<u32>,
+    /// This step's sampling lanes (ascending), reused like `feed`.
+    sample_rows: Vec<usize>,
     max_batch: usize,
     next_id: u64,
     /// Per-model labeled twins of the aggregate engine metrics, resolved
@@ -233,6 +239,7 @@ impl BatchGenerator {
             active: Vec::new(),
             scratch: BatchScratch::new(),
             feed: Vec::new(),
+            sample_rows: Vec::new(),
             max_batch: cfg.max_batch.max(1),
             next_id: 0,
             batch_size_hist: obs::metrics::histogram(&format!("decode_batch_size{labels}")),
@@ -356,16 +363,32 @@ impl BatchGenerator {
                 g.last
             }
         }));
+        // A lane samples once this step has fed its last prompt token.
+        self.sample_rows.clear();
+        self.sample_rows.extend(
+            self.active
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| g.fed + 1 >= g.prompt.len())
+                .map(|(i, _)| i),
+        );
         {
             let mut seqs: Vec<&mut SeqKv> = self.active.iter_mut().map(|g| &mut g.seq).collect();
             for seq in seqs.iter_mut() {
                 seq.prepare_write(&mut self.pool)?;
             }
-            let logits = model.batch_step(&self.feed, &mut self.pool, &mut seqs, &mut self.scratch);
-            debug_assert_eq!(logits.len(), batch_size);
+            let logits = model.batch_step(
+                &self.feed,
+                &self.sample_rows,
+                &mut self.pool,
+                &mut seqs,
+                &mut self.scratch,
+            );
+            debug_assert_eq!(logits.dims()[0], self.sample_rows.len());
             drop(seqs);
+            let mut rows = logits.data().chunks_exact(logits.dims()[1]);
 
-            for (g, l) in self.active.iter_mut().zip(logits) {
+            for g in self.active.iter_mut() {
                 g.seq.commit();
                 if g.fed < g.prompt.len() {
                     g.trace_record(
@@ -376,7 +399,7 @@ impl BatchGenerator {
                     g.fed += 1;
                 }
                 if g.fed < g.prompt.len() {
-                    continue; // still prefilling; logits discarded
+                    continue; // still prefilling; no logits row
                 }
                 if !g.registered {
                     // The whole prompt is cached now: publish its full
@@ -384,7 +407,9 @@ impl BatchGenerator {
                     self.prefix.insert(&mut self.pool, &g.prompt, &g.seq);
                     g.registered = true;
                 }
-                let next = select_token(&l, &g.cfg, &mut g.rng);
+                // xlint: allow(transitive-panic-in-request-path): `sample_rows` holds exactly the lanes that reach here, one logits row each
+                let row = rows.next().expect("one logits row per sampling lane");
+                let next = select_token(row, &g.cfg, &mut g.rng);
                 if !g.ttft_recorded {
                     g.ttft_recorded = true;
                     let ttft = obs::Clock::now().at_ns().saturating_sub(g.origin_ns);

@@ -220,10 +220,11 @@ impl BatchStepModel for Gpt2Lm {
     fn batch_step(
         &self,
         tokens: &[u32],
+        sample_rows: &[usize],
         pool: &mut BlockPool,
         seqs: &mut [&mut SeqKv],
         scratch: &mut BatchScratch,
-    ) -> Vec<Tensor> {
+    ) -> Tensor {
         let b = tokens.len();
         debug_assert_eq!(b, seqs.len());
         let d = self.config.d_model;
@@ -253,17 +254,20 @@ impl BatchStepModel for Gpt2Lm {
             x = blk.forward_incremental_batch(&x, self.config.n_heads, layer, pool, seqs, scratch);
         }
         scratch.x = x0.into_vec();
-        let (ln, _, _) = ops::layer_norm(&x, &self.lnf_g.value(), &self.lnf_b.value(), 1e-5);
-        let logits = ops::matmul_transb(&ln, &wte); // [B, V]
-        let ld = logits.data();
         let v = self.config.vocab;
-        (0..b)
-            .map(|i| {
-                Tensor::from_vec(ld[i * v..(i + 1) * v].to_vec(), &[v])
-                    // xlint: allow(transitive-panic-in-request-path): the slice is exactly `v` floats, matching the declared shape
-                    .expect("logits row is [V]")
-            })
-            .collect()
+        if sample_rows.is_empty() {
+            // All-prefill step: every row's logits would be discarded.
+            return Tensor::zeros(&[0, v]);
+        }
+        // The final LN and the LM head are row-wise, so running them on
+        // the gathered sampling rows gives those rows' exact bits.
+        let x = if sample_rows.len() == b {
+            x
+        } else {
+            ops::embedding(&x, sample_rows)
+        };
+        let (ln, _, _) = ops::layer_norm(&x, &self.lnf_g.value(), &self.lnf_b.value(), 1e-5);
+        ops::matmul_transb(&ln, &wte) // [R, V]
     }
 }
 

@@ -9,9 +9,8 @@
 //! per-token phase records to the request's trace and attributing TTFT
 //! back to the serving queue's enqueue stamp.
 
-use ratatouille_util::rng::StdRng;
-use ratatouille_util::rng::RngExt;
-use ratatouille_tensor::{ops, Tensor};
+use ratatouille_util::rng::{RngExt, StdRng};
+use ratatouille_tensor::Tensor;
 
 use crate::lm::InferenceModel;
 
@@ -129,7 +128,7 @@ pub fn generate_traced<M: InferenceModel + ?Sized>(
         let token_span = obs::span!("decode.token");
         let token_start = obs::Clock::now();
         let l = logits.take().expect("logits available after prompt");
-        let next = select_token(&l, cfg, rng);
+        let next = select_token(l.data(), cfg, rng);
         if !ttft_recorded {
             ttft_recorded = true;
             let ttft = obs::Clock::now().at_ns().saturating_sub(origin_ns);
@@ -162,22 +161,55 @@ pub fn metric_label(name: &str) -> String {
     obs::metrics::label_value(name)
 }
 
-/// Pick the next token from raw logits according to the config.
-pub fn select_token(logits: &Tensor, cfg: &SamplerConfig, rng: &mut StdRng) -> u32 {
-    if cfg.greedy {
-        return ops::argmax_last(logits)[0] as u32;
+/// A logit as the sampler ranks it: NaN counts as `-inf`, so it sorts
+/// below every number and, unless every candidate is non-finite, gets
+/// zero probability. Every other value passes through unchanged.
+fn rank_value(x: f32) -> f32 {
+    if x.is_nan() {
+        f32::NEG_INFINITY
+    } else {
+        x
     }
-    let v = logits.numel();
+}
+
+/// Pick the next token from one row of raw logits according to the
+/// config.
+///
+/// Candidates are ranked by scaled logit, descending, ties broken by
+/// ascending token id (so `-0.0` and `+0.0` tie, and NaN ranks as
+/// `-inf`). That is a strict total order, so the top-k selection
+/// is unique: `select_nth_unstable_by` finds the `k` best ids in O(V) and
+/// only those `k` are sorted. The kept list is exactly the first `k` of a
+/// stable descending sort of all `V` ids.
+pub fn select_token(logits: &[f32], cfg: &SamplerConfig, rng: &mut StdRng) -> u32 {
+    if cfg.greedy {
+        let mut best = 0;
+        for (i, &x) in logits.iter().enumerate() {
+            if rank_value(x) > rank_value(logits[best]) {
+                best = i;
+            }
+        }
+        return best as u32;
+    }
+    let v = logits.len();
     let temp = cfg.temperature.max(1e-4);
-    let scaled: Vec<f32> = logits.data().iter().map(|&x| x / temp).collect();
+    let scaled: Vec<f32> = logits.iter().map(|&x| rank_value(x / temp)).collect();
+    let order = |a: &usize, b: &usize| {
+        scaled[*b]
+            .partial_cmp(&scaled[*a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(b))
+    };
 
-    // Sort candidate indices by logit, descending.
-    let mut idx: Vec<usize> = (0..v).collect();
-    idx.sort_by(|&a, &b| scaled[b].partial_cmp(&scaled[a]).unwrap_or(std::cmp::Ordering::Equal));
-
-    // top-k cutoff
+    // top-k cutoff: select the k best, then sort just those.
     let k = if cfg.top_k > 0 { cfg.top_k.min(v) } else { v };
-    let mut kept = &idx[..k];
+    let mut idx: Vec<usize> = (0..v).collect();
+    if k < v {
+        idx.select_nth_unstable_by(k - 1, order);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(order);
+    let mut kept = &idx[..];
 
     // softmax over kept
     let max = scaled[kept[0]];
@@ -224,10 +256,6 @@ mod tests {
     use super::*;
     use ratatouille_util::rng::SeedableRng;
 
-    fn logits(values: &[f32]) -> Tensor {
-        Tensor::from_vec(values.to_vec(), &[values.len()]).unwrap()
-    }
-
     #[test]
     fn greedy_picks_argmax() {
         let cfg = SamplerConfig {
@@ -235,7 +263,7 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(0);
-        let t = select_token(&logits(&[0.1, 5.0, 2.0]), &cfg, &mut rng);
+        let t = select_token(&[0.1, 5.0, 2.0], &cfg, &mut rng);
         assert_eq!(t, 1);
     }
 
@@ -250,7 +278,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(1);
         // indices 3 and 1 are the top-2
-        let l = logits(&[0.0, 4.0, 1.0, 6.0, 0.5]);
+        let l = [0.0, 4.0, 1.0, 6.0, 0.5];
         for _ in 0..200 {
             let t = select_token(&l, &cfg, &mut rng);
             assert!(t == 3 || t == 1, "sampled outside top-k: {t}");
@@ -268,7 +296,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(2);
         // one dominant token holds > 50% of the mass
-        let l = logits(&[10.0, 1.0, 1.0, 1.0]);
+        let l = [10.0, 1.0, 1.0, 1.0];
         for _ in 0..100 {
             assert_eq!(select_token(&l, &cfg, &mut rng), 0);
         }
@@ -284,7 +312,7 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let l = logits(&[1.0, 1.5, 1.2]);
+        let l = [1.0, 1.5, 1.2];
         for _ in 0..100 {
             assert_eq!(select_token(&l, &cfg, &mut rng), 1);
         }
@@ -300,7 +328,7 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(4);
-        let l = logits(&[1.0, 3.0]);
+        let l = [1.0, 3.0];
         let picks: Vec<u32> = (0..300).map(|_| select_token(&l, &cfg, &mut rng)).collect();
         let zeros = picks.iter().filter(|&&t| t == 0).count();
         // near-uniform: both sides sampled substantially
@@ -310,7 +338,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let cfg = SamplerConfig::default();
-        let l = logits(&[0.5, 0.7, 0.1, 0.9, 0.3]);
+        let l = [0.5, 0.7, 0.1, 0.9, 0.3];
         let a: Vec<u32> = {
             let mut rng = StdRng::seed_from_u64(9);
             (0..20).map(|_| select_token(&l, &cfg, &mut rng)).collect()
@@ -320,6 +348,47 @@ mod tests {
             (0..20).map(|_| select_token(&l, &cfg, &mut rng)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn non_finite_logits_never_panic_and_nan_ranks_last() {
+        let nan = f32::NAN;
+        let inf = f32::INFINITY;
+        let rows: [&[f32]; 6] = [
+            &[nan, 1.0, nan, 2.0, 0.5, nan],
+            &[0.3, -inf, 2.0, nan, -inf, 1.0],
+            &[nan, inf, 0.0, -inf, 1.0],
+            &[inf, inf, 1.0, -1.0],
+            &[-inf, -inf, -inf],
+            &[nan, nan, nan, nan],
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        for row in rows {
+            let configs = [(true, 0, 1.0), (false, 0, 1.0), (false, 2, 0.5), (false, 3, 0.9)];
+            for (greedy, top_k, top_p) in configs {
+                let cfg = SamplerConfig {
+                    greedy,
+                    top_k,
+                    top_p,
+                    temperature: 0.7,
+                    ..Default::default()
+                };
+                // NaN ranks below every number, so greedy and a top-k
+                // no larger than the count of numbers both exclude it.
+                let numbers = row.iter().filter(|x| !x.is_nan()).count();
+                let nan_excluded = if greedy { numbers > 0 } else { top_k > 0 && top_k <= numbers };
+                for _ in 0..50 {
+                    let t = select_token(row, &cfg, &mut rng) as usize;
+                    assert!(t < row.len(), "index {t} outside a row of {}", row.len());
+                    if nan_excluded {
+                        assert!(!row[t].is_nan(), "picked NaN at {t} from {row:?} ({cfg:?})");
+                    }
+                }
+            }
+        }
+        // Greedy skips a leading NaN.
+        let greedy = SamplerConfig { greedy: true, ..Default::default() };
+        assert_eq!(select_token(&[nan, -3.0, -2.0], &greedy, &mut rng), 2);
     }
 
     #[test]
@@ -381,7 +450,9 @@ mod tests {
         let cfg = SamplerConfig {
             max_tokens: 50,
             greedy: true,
-            stop_token: Some(ops::argmax_last(&m.start_stream().push(2))[0] as u32),
+            stop_token: Some(
+                ratatouille_tensor::ops::argmax_last(&m.start_stream().push(2))[0] as u32,
+            ),
             ..Default::default()
         };
         let out = generate(&m, &[2], &cfg, &mut rng);

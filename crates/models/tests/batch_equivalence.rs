@@ -8,10 +8,17 @@
 //! untrained model's logits are just as sensitive to any accumulation
 //! reordering.
 
-use ratatouille_models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
+use std::cell::RefCell;
+
+use ratatouille_models::batch::{
+    BatchEngineConfig, BatchGenerator, BatchRequest, BatchStepModel, ModelDims,
+};
 use ratatouille_models::gpt2::{Gpt2Config, Gpt2Lm};
+use ratatouille_models::kv_block::{BlockPool, SeqKv};
 use ratatouille_models::lm::InferenceModel;
 use ratatouille_models::sample::SamplerConfig;
+use ratatouille_models::transformer::BatchScratch;
+use ratatouille_tensor::Tensor;
 
 fn tiny() -> Gpt2Lm {
     Gpt2Lm::new(Gpt2Config {
@@ -274,4 +281,139 @@ fn greedy_streams_are_identical_across_all_compositions() {
             done += 1;
         }
     }
+}
+
+/// One `batch_step` call as the model saw it.
+struct StepLog {
+    /// Each row's write position (its cached length before this token).
+    positions: Vec<usize>,
+    /// The rows the engine asked logits for.
+    sample_rows: Vec<usize>,
+    /// Rows of the returned logits tensor.
+    logits_rows: usize,
+}
+
+/// A transparent [`BatchStepModel`] wrapper that logs every step.
+struct Recording<'m> {
+    inner: &'m dyn BatchStepModel,
+    log: RefCell<Vec<StepLog>>,
+}
+
+impl BatchStepModel for Recording<'_> {
+    fn dims(&self) -> ModelDims {
+        self.inner.dims()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn batch_ready(&self) -> bool {
+        self.inner.batch_ready()
+    }
+
+    fn batch_step(
+        &self,
+        tokens: &[u32],
+        sample_rows: &[usize],
+        pool: &mut BlockPool,
+        seqs: &mut [&mut SeqKv],
+        scratch: &mut BatchScratch,
+    ) -> Tensor {
+        let positions = seqs.iter().map(|s| s.len()).collect();
+        let logits = self.inner.batch_step(tokens, sample_rows, pool, seqs, scratch);
+        self.log.borrow_mut().push(StepLog {
+            positions,
+            sample_rows: sample_rows.to_vec(),
+            logits_rows: logits.dims()[0],
+        });
+        logits
+    }
+}
+
+/// Step `engine` until every id in `live` (admission order, with prompt
+/// lengths) finishes, checking each step's logits request: exactly the
+/// rows whose write position is at or past their last prompt token.
+/// Returns the finished streams by id and the number of all-prefill
+/// steps seen.
+fn step_checking_sample_rows(
+    engine: &mut BatchGenerator,
+    rec: &Recording<'_>,
+    mut live: Vec<(u64, usize)>,
+) -> (Vec<(u64, Vec<u32>)>, usize) {
+    let mut finished = Vec::new();
+    let mut all_prefill_steps = 0;
+    while !live.is_empty() {
+        let out = engine.step(rec).expect("pool sized for the test");
+        let log = rec.log.borrow();
+        let step = log.last().expect("a non-idle step calls batch_step");
+        assert_eq!(step.positions.len(), live.len(), "one row per live sequence");
+        let expected: Vec<usize> = live
+            .iter()
+            .zip(&step.positions)
+            .enumerate()
+            .filter(|(_, ((_, prompt_len), &pos))| pos + 1 >= *prompt_len)
+            .map(|(row, _)| row)
+            .collect();
+        assert_eq!(
+            step.sample_rows, expected,
+            "positions {:?} for prompt lengths {:?}",
+            step.positions,
+            live.iter().map(|l| l.1).collect::<Vec<_>>()
+        );
+        assert_eq!(step.logits_rows, expected.len(), "one logits row per sampling row");
+        for (row, &(_, prompt_len)) in live.iter().enumerate() {
+            if step.positions[row] + 1 == prompt_len {
+                assert!(step.sample_rows.contains(&row), "last prompt token's row got no logits");
+            }
+        }
+        if expected.is_empty() {
+            all_prefill_steps += 1;
+        }
+        drop(log);
+        for f in out.finished {
+            live.retain(|&(id, _)| id != f.id);
+            finished.push((f.id, f.tokens));
+        }
+    }
+    (finished, all_prefill_steps)
+}
+
+#[test]
+fn lm_head_runs_only_on_rows_that_sample() {
+    let model = tiny();
+    let rec = Recording {
+        inner: model.batch_model().unwrap(),
+        log: RefCell::new(Vec::new()),
+    };
+    let cfg = sampled(4);
+    // Distinct first tokens: no admission below can hit another's prefix.
+    let prompts: [&[u32]; 3] = [&[5, 1, 12, 3, 9, 0, 7, 2, 6], &[8, 8, 2], &[11, 4, 4, 10, 3, 1]];
+
+    // Without a prefix-cache hit: the first steps feed every prompt's
+    // early tokens, so nothing samples and the LM head is skipped.
+    let mut engine = BatchGenerator::new(&rec, engine_cfg(4));
+    let live: Vec<(u64, usize)> = prompts
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (engine.admit(req(p, 30 + i as u64, &cfg)).unwrap(), p.len()))
+        .collect();
+    let (streams, all_prefill) = step_checking_sample_rows(&mut engine, &rec, live);
+    assert_eq!(all_prefill, 2, "the shortest prompt has 3 tokens: two steps feed only prompts");
+    for (i, p) in prompts.iter().enumerate() {
+        let (_, got) = &streams.iter().find(|(id, _)| *id == i as u64).unwrap();
+        assert_eq!(got, &solo(&model, p, 30 + i as u64, &cfg), "recording changed a stream");
+    }
+
+    // With a hit: the 9-token prompt is cached now, so its second run
+    // adopts 8 positions and samples on its very first step.
+    let steps_before = rec.log.borrow().len();
+    let id = engine.admit(req(prompts[0], 30, &cfg)).unwrap();
+    let live = vec![(id, prompts[0].len())];
+    let (streams, all_prefill) = step_checking_sample_rows(&mut engine, &rec, live);
+    let first = &rec.log.borrow()[steps_before];
+    assert_eq!(first.positions, vec![8], "expected a prefix-cache hit of two blocks");
+    assert_eq!(first.sample_rows, vec![0]);
+    assert_eq!(all_prefill, 0);
+    assert_eq!(streams[0].1, solo(&model, prompts[0], 30, &cfg), "the hit changed the stream");
 }

@@ -2,10 +2,10 @@
 //!
 //! Deliberately minimal but correct for the API's needs: request-line +
 //! header parsing with size limits, Content-Length bodies, one response
-//! per connection (`Connection: close`), a bounded acceptor thread, and
-//! graceful shutdown.
+//! per connection (`Connection: close`), a blocking acceptor thread, and
+//! graceful shutdown (a self-connect wakes the acceptor).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -309,7 +309,6 @@ impl HttpServer {
     {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown2 = Arc::clone(&shutdown);
         let handler = Arc::new(handler);
@@ -317,8 +316,16 @@ impl HttpServer {
             .name("http-acceptor".into())
             .spawn(move || {
                 let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-                while !shutdown2.load(Ordering::Relaxed) {
-                    match listener.accept() {
+                loop {
+                    // Blocking accept: a connection is read the moment it
+                    // arrives. `halt` wakes this with a self-connect after
+                    // raising the flag, so that connection (and any other
+                    // accepted after shutdown) is dropped unhandled.
+                    let accepted = listener.accept();
+                    if shutdown2.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             let h = Arc::clone(&handler);
                             workers.push(std::thread::spawn(move || {
@@ -326,9 +333,13 @@ impl HttpServer {
                             }));
                             workers.retain(|w| !w.is_finished());
                         }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
+                        // The peer gave up before we accepted, or a signal
+                        // interrupted the call: accept the next one.
+                        Err(ref e)
+                            if matches!(
+                                e.kind(),
+                                ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+                            ) => {}
                         Err(_) => break,
                     }
                 }
@@ -350,19 +361,48 @@ impl HttpServer {
 
     /// Signal shutdown and join the acceptor.
     pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        self.halt();
     }
+
+    /// Raise the shutdown flag, wake the acceptor out of its blocking
+    /// `accept` with one connection to the listener, and join it (which
+    /// also joins the in-flight connection threads). Idempotent.
+    fn halt(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        // Release pairs with the acceptor's Acquire load; the flag is
+        // stored before the wake connection exists, and `accept` cannot
+        // return that connection before it does.
+        self.shutdown.store(true, Ordering::Release);
+        // If the connect fails the acceptor has already left its loop (a
+        // listener error), so the join below still returns.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
+        let _ = acceptor.join();
+    }
+}
+
+/// How long `halt` waits for its wake connection to the own listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Where a self-connect reaches a listener bound at `bound`: the loopback
+/// address of the same family when it is bound to the unspecified
+/// address (`0.0.0.0` / `::`), which is not a connectable destination.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        let loopback: std::net::IpAddr = match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        };
+        addr.set_ip(loopback);
+    }
+    addr
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        self.halt();
     }
 }
 
@@ -571,6 +611,59 @@ mod tests {
             h.join().unwrap();
         }
         server.stop();
+    }
+
+    #[test]
+    fn stop_returns_promptly_on_an_idle_server_without_calling_the_handler() {
+        use std::sync::atomic::AtomicUsize;
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&calls);
+            let server = HttpServer::start(bind, move |_req| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                Response::text(StatusCode::Ok, "ok")
+            })
+            .unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let started = std::time::Instant::now();
+            let stopper = std::thread::spawn(move || {
+                server.stop();
+                let _ = tx.send(());
+            });
+            rx.recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("stop() on {bind} did not return within 5 s"));
+            stopper.join().unwrap();
+            assert!(
+                started.elapsed() < Duration::from_millis(500),
+                "stop() on {bind} took {:?}",
+                started.elapsed()
+            );
+            assert_eq!(calls.load(Ordering::SeqCst), 0, "the wake connection reached the handler");
+        }
+    }
+
+    #[test]
+    fn dropping_a_server_stops_it() {
+        let server =
+            HttpServer::start("127.0.0.1:0", |_req| Response::text(StatusCode::Ok, "ok")).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(server);
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("dropping the server did not return within 5 s");
+        dropper.join().unwrap();
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback() {
+        let v4: SocketAddr = "0.0.0.0:8123".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:8123".parse().unwrap());
+        let v6: SocketAddr = "[::]:8123".parse().unwrap();
+        assert_eq!(wake_addr(v6), "[::1]:8123".parse().unwrap());
+        let bound: SocketAddr = "10.1.2.3:80".parse().unwrap();
+        assert_eq!(wake_addr(bound), bound);
     }
 
     #[test]

@@ -19,14 +19,12 @@
 //! vectorizable.
 
 use crate::ops::simd;
-use crate::par::{parallel_chunks, parallel_rows_mut};
+use crate::par::{min_units_per_task, parallel_chunks, parallel_rows_mut};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Minimum rows per thread before a parallel launch pays for itself.
 const MIN_ROWS_PER_THREAD: usize = 8;
-/// Minimum output columns per thread for the single-row (decode) path.
-const MIN_COLS_PER_THREAD: usize = 128;
 /// K-blocking: one packed `KC × NR` panel is 16 KiB — L1-resident.
 const KC: usize = 256;
 /// Microkernel width: two 8-lane vectors.
@@ -424,7 +422,9 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     let (ad, bd) = (a.data(), b.data());
     if m == 1 {
-        // Decode path: one output row of N dots — split the columns.
+        // Decode path: one output row of N dots — split the columns, but
+        // only when each task gets enough `k`-long dots to pay for the
+        // launch (the DistilGPT2 head never does).
         struct SendPtr(*mut f32);
         // SAFETY(invariant: workers only offset the base into disjoint column ranges)
         // `SendPtr` wraps the base of `out`, which outlives the
@@ -441,7 +441,7 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
             }
         }
         let base = SendPtr(out.as_mut_ptr());
-        parallel_chunks(n, MIN_COLS_PER_THREAD, |s, e, _| {
+        parallel_chunks(n, min_units_per_task(k), |s, e, _| {
             // SAFETY(disjoint: out[s .. e] — each worker gets a distinct column range)
             // `e <= n == out.len()`, so this reconstructed slice stays
             // inside the live `out` allocation and no two workers'

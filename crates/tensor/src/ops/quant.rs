@@ -36,10 +36,6 @@ use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Minimum output columns per pool task for the decode (`m == 1`) path —
-/// matches the f32 `matmul_transb` split so the two variants schedule
-/// comparably.
-const MIN_COLS_PER_THREAD: usize = 128;
 /// Minimum output rows per pool task for the batched path.
 const MIN_ROWS_PER_THREAD: usize = 8;
 
@@ -184,11 +180,13 @@ pub fn qmatmul_transb(a: &Tensor, w: &QuantizedMatrix) -> Tensor {
 
     let mut out = vec![0.0f32; m * n];
     if m == 1 {
-        // Decode path: one activation row, split the output columns.
+        // Decode path: one activation row, split the output columns once
+        // each task gets enough work to pay for the launch — the same
+        // rule as the f32 `matmul_transb`.
         let qrow = &qa[..k];
         let a_scale = a_scales[0];
         // SAFETY(disjoint: out[range] — column spans of the single output row never overlap)
-        par::parallel_rows_mut(&mut out, n, 1, MIN_COLS_PER_THREAD, |range, chunk| {
+        par::parallel_rows_mut(&mut out, n, 1, par::min_units_per_task(k), |range, chunk| {
             qgemv(qrow, codes, k, range.start, scales, a_scale, chunk);
         });
     } else {

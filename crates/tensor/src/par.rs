@@ -31,6 +31,28 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock};
 
+/// Minimum multiply-adds one pool task must carry before a kernel splits
+/// its work across the pool.
+///
+/// A launch wakes parked workers and joins them again, which costs
+/// 3–17 µs on a 2-vCPU x86-64 VM (`pool_launch/noop/2` in
+/// `BENCH_tensor_kernels.json`) — as much as 40k–130k f32 multiply-adds
+/// inline. The `decode_gemv_threads` rows time a `[1, K]·[N, K]ᵀ` GEMV
+/// on 2 threads against 1: at 2¹⁶ multiply-adds per task (`1x64x2048`)
+/// the pooled run lost on every run, at 2¹⁷ (`1x128x2048`) it broke
+/// even, and at 2¹⁸ (`1x128x4096`) it won on every run. Kernels size
+/// their chunks with [`min_units_per_task`], so whether a launch
+/// happens depends on the work, not on a column or row count.
+pub const MIN_MACS_PER_TASK: usize = 1 << 17;
+
+/// The fewest work units (output columns, rows, …) one pool task may get
+/// when each unit costs `macs_per_unit` multiply-adds: enough that the
+/// task carries at least [`MIN_MACS_PER_TASK`]. Pass the result as the
+/// `min_chunk` / `min_rows` of [`parallel_chunks`] / [`parallel_rows_mut`].
+pub fn min_units_per_task(macs_per_unit: usize) -> usize {
+    MIN_MACS_PER_TASK.div_ceil(macs_per_unit.max(1))
+}
+
 /// 0 means "use all available parallelism".
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -484,6 +506,19 @@ mod tests {
         });
         set_num_threads(0);
         assert!(caught.is_err(), "slot panic must reach the launcher");
+    }
+
+    #[test]
+    fn min_units_per_task_covers_the_crossover() {
+        // The DistilGPT2 head: 665 columns of 64 multiply-adds each never
+        // fill one task, so the GEMV runs inline.
+        assert!(665 < min_units_per_task(64));
+        // 4096 columns of 128 fill two tasks.
+        assert_eq!(min_units_per_task(128), 1024);
+        assert!(4096 / min_units_per_task(128) >= 2);
+        // Degenerate unit costs stay well-defined.
+        assert_eq!(min_units_per_task(0), MIN_MACS_PER_TASK);
+        assert_eq!(min_units_per_task(usize::MAX), 1);
     }
 
     #[test]

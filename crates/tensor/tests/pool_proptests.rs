@@ -202,3 +202,25 @@ fn deeply_nested_launches_and_kernels_survive() {
     assert_eq!(*done.lock().unwrap(), 8);
     par::set_num_threads(0);
 }
+
+/// The m == 1 decode GEMV only splits its columns once each pool task
+/// carries `par::MIN_MACS_PER_TASK`; the random shapes above never get
+/// there, so this pins a shape that does (split unevenly at 3 and 7
+/// threads) to the single-threaded bits.
+#[test]
+fn decode_gemv_column_split_is_bit_invariant() {
+    let (k, n) = (128, 2304);
+    assert!(n / par::min_units_per_task(k) >= 2, "shape must leave inline mode");
+    let a = Tensor::from_vec((0..k).map(|i| i as f32 * 0.03 - 1.1).collect(), &[1, k]).unwrap();
+    let b: Vec<f32> = (0..n * k).map(|i| ((i * 7) % 31) as f32 * 0.1 - 1.5).collect();
+    let b = Tensor::from_vec(b, &[n, k]).unwrap();
+    let _g = knob();
+    par::set_num_threads(1);
+    let serial = ops::matmul_transb(&a, &b);
+    for &t in &SWEEP {
+        par::set_num_threads(t);
+        let parallel = ops::matmul_transb(&a, &b);
+        assert_bits_equal(&serial, &parallel, "decode matmul_transb", t);
+    }
+    par::set_num_threads(0);
+}

@@ -181,3 +181,27 @@ fn requantization_is_stable() {
         assert!((a - b).abs() <= a.abs() * 1e-6);
     }
 }
+
+/// The int8 decode GEMV's column split engages only past
+/// `par::MIN_MACS_PER_TASK` per task, which the random shapes above never
+/// reach; this shape does, and must match the single-threaded bits.
+#[test]
+fn decode_qgemv_column_split_is_bit_invariant() {
+    let (k, n) = (128, 2304);
+    assert!(n / par::min_units_per_task(k) >= 2, "shape must leave inline mode");
+    let a = Tensor::from_vec((0..k).map(|i| i as f32 * 0.03 - 1.1).collect(), &[1, k]).unwrap();
+    let w: Vec<f32> = (0..n * k).map(|i| ((i * 37 + 11) % 97) as f32 * 0.07 - 3.2).collect();
+    let w = Tensor::from_vec(w, &[n, k]).unwrap();
+    let q = ops::quantize_per_row(&w);
+    let _g = knob();
+    par::set_num_threads(1);
+    let serial = ops::qmatmul_transb(&a, &q);
+    for &t in &SWEEP {
+        par::set_num_threads(t);
+        let parallel = ops::qmatmul_transb(&a, &q);
+        for (i, (x, y)) in serial.data().iter().zip(parallel.data()).enumerate() {
+            assert!(x.to_bits() == y.to_bits(), "bit mismatch at {i} with {t} threads: {x} vs {y}");
+        }
+    }
+    par::set_num_threads(0);
+}

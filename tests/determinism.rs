@@ -252,6 +252,95 @@ fn batched_decode_golden_fingerprint_is_frozen() {
     );
 }
 
+/// Golden fingerprint for the *sampled* decode path: four requests with
+/// top-k 40, top-p 0.9 and temperature 0.7 over a 96-token vocabulary,
+/// decoded together through the continuous-batching engine, alone
+/// through the engine, and alone through the solo `generate` stream.
+/// All three must agree token for token, and the streams hash to a
+/// frozen value. The greedy golden above cannot see the sampler's
+/// candidate order; this one changes if the top-k selection, its tie
+/// order, the softmax or the top-p cut moves by a single token.
+#[test]
+fn sampled_decode_golden_fingerprint_is_frozen() {
+    use ratatouille::models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
+    use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
+    use ratatouille::models::lm::InferenceModel;
+    use ratatouille::models::sample::{generate, SamplerConfig};
+
+    let model = Gpt2Lm::new(Gpt2Config {
+        name: "golden-sampled".into(),
+        vocab: 96,
+        d_model: 16,
+        n_heads: 2,
+        n_layers: 2,
+        d_ff: 32,
+        max_t: 64,
+        dropout: 0.0,
+        seed: 4321,
+    });
+    let bm = model.batch_model().expect("16/32 widths are batch-ready");
+    let cfg = SamplerConfig {
+        max_tokens: 16,
+        temperature: 0.7,
+        top_k: 40,
+        top_p: 0.9,
+        stop_token: None,
+        greedy: false,
+    };
+    let requests: [(&[u32], u64); 4] = [
+        (&[3, 17, 9, 28, 1], 7),
+        (&[11, 11, 4], 21),
+        (&[95, 2, 60, 6, 44, 80], 1001),
+        (&[3, 17, 9], 0xfeed),
+    ];
+    let engine_cfg = BatchEngineConfig {
+        block_tokens: 4,
+        num_blocks: 64,
+        max_batch: 4,
+        prefix_cap: 4,
+    };
+    let req = |prompt: &[u32], seed: u64| BatchRequest {
+        prompt: prompt.to_vec(),
+        sampler: cfg.clone(),
+        seed,
+    };
+
+    let mut engine = BatchGenerator::new(bm, engine_cfg.clone());
+    let ids: Vec<u64> = requests
+        .iter()
+        .map(|&(p, seed)| engine.admit(req(p, seed)).expect("pool covers four tiny requests"))
+        .collect();
+    let mut batched: Vec<Vec<u32>> = vec![Vec::new(); ids.len()];
+    let mut done = 0;
+    while done < ids.len() {
+        for f in engine.step(bm).expect("reserved up front").finished {
+            let slot = ids.iter().position(|&id| id == f.id).unwrap();
+            batched[slot] = f.tokens;
+            done += 1;
+        }
+    }
+
+    for (&(p, seed), stream) in requests.iter().zip(&batched) {
+        let mut engine = BatchGenerator::new(bm, engine_cfg.clone());
+        let id = engine.admit(req(p, seed)).unwrap();
+        let alone = engine.run_to_completion(bm, id).unwrap();
+        assert_eq!(&alone, stream, "solo engine decode diverged from the batch");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let streamed = generate(&model, p, &cfg, &mut rng);
+        assert_eq!(&streamed, stream, "solo stream decode diverged from the batch");
+    }
+
+    let fp = fingerprint(
+        batched
+            .iter()
+            .map(|s| s.iter().flat_map(|t| t.to_le_bytes()).collect::<Vec<u8>>()),
+    );
+    assert_eq!(
+        fp, 0x51ab_47a6_6835_df88,
+        "sampled decode fingerprint changed: {fp:#x} — if intentional, refreeze"
+    );
+}
+
 /// Golden corpus fingerprint: the seed-42, 60-recipe corpus hashes to a
 /// frozen value. This pins the full chain — PRNG bit stream, grammar
 /// sampling order, defect injection — in one number.
